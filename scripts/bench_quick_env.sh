@@ -19,4 +19,5 @@ export ALBIC_BENCH_ARTICLES=20000
 export ALBIC_BENCH_SLICES=8             # bench_latency timeline slices
 export ALBIC_BENCH_LARGE_KEYS=100000    # bench_recovery large-state scenario
 export ALBIC_BENCH_LARGE_ROUNDS=6
-export ALBIC_BENCH_PERIODS=8            # bench_fig5 scaling periods
+export ALBIC_BENCH_PERIODS=16           # bench_fig5 scaling periods (the
+                                        # bench default; scale-in needs 10-12)

@@ -18,6 +18,9 @@ namespace {
 constexpr uint64_t kSnapshotMagic = 0x414c42434b505431ULL;  // "ALBCKPT1"
 constexpr uint64_t kDeltaMagic = 0x414c42434b444c31ULL;     // "ALBCKDL1"
 constexpr uint64_t kManifestMagic = 0x414c424d414e4631ULL;  // "ALBMANF1"
+/// Records and the manifest open with three u64 fields: magic, seq/epoch
+/// and payload size/entry count.
+constexpr uint64_t kRecordHeaderBytes = 3 * sizeof(uint64_t);
 
 }  // namespace
 
@@ -341,13 +344,23 @@ bool FileCheckpointStore::Get(KeyGroupId group, uint64_t version,
   if (found == nullptr) return false;
   if (info != nullptr) *info = *found;
   if (state != nullptr) {
-    std::ifstream in(PathFor(group, version), std::ios::binary);
+    const std::string path = PathFor(group, version);
+    std::error_code ec;
+    const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+    if (ec) return false;
+    std::ifstream in(path, std::ios::binary);
     uint64_t magic = 0, seq = 0, size = 0;
     in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
     in.read(reinterpret_cast<char*>(&seq), sizeof(seq));
     in.read(reinterpret_cast<char*>(&size), sizeof(size));
     const uint64_t want = found->is_delta ? kDeltaMagic : kSnapshotMagic;
     if (!in || magic != want) return false;
+    // A corrupted size field must not drive the allocation: the payload is
+    // exactly what the index recorded, and it fits in the file.
+    if (size != found->bytes || file_bytes < kRecordHeaderBytes ||
+        size > file_bytes - kRecordHeaderBytes) {
+      return false;
+    }
     state->resize(size);
     in.read(state->data(), static_cast<std::streamsize>(size));
     if (!in) return false;
@@ -371,12 +384,21 @@ Status FileCheckpointStore::PutManifest(const CheckpointManifest& manifest) {
 }
 
 bool FileCheckpointStore::LatestManifest(CheckpointManifest* out) const {
-  std::ifstream in(dir_ + "/MANIFEST", std::ios::binary);
+  const std::string path = dir_ + "/MANIFEST";
+  std::error_code ec;
+  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return false;
+  std::ifstream in(path, std::ios::binary);
   uint64_t magic = 0, epoch = 0, n = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   in.read(reinterpret_cast<char*>(&epoch), sizeof(epoch));
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
   if (!in || magic != kManifestMagic) return false;
+  // Cap the entry count by the bytes actually on disk before allocating.
+  if (file_bytes < kRecordHeaderBytes ||
+      n > (file_bytes - kRecordHeaderBytes) / sizeof(int64_t)) {
+    return false;
+  }
   CheckpointManifest manifest;
   manifest.epoch = epoch;
   manifest.shard_offsets.resize(n);

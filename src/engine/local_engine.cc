@@ -16,6 +16,13 @@ namespace albic::engine {
 
 namespace {
 
+/// Spare tuple vectors a pool worker keeps for its outboxes at a wave join;
+/// beyond that they top the driving thread's pool up to
+/// kCoordinatorVecReserve (a launch re-arms one scatter bucket per source
+/// group).
+constexpr size_t kWorkerVecReserve = 32;
+constexpr size_t kCoordinatorVecReserve = 64;
+
 /// Grows a per-node stats vector when the cluster scaled out mid-period.
 void EnsureNodeSlot(std::vector<double>* v, NodeId node) {
   if (node >= 0 && static_cast<size_t>(node) >= v->size()) {
@@ -147,6 +154,7 @@ LocalEngine::LocalEngine(const Topology* topology, const Cluster* cluster,
         static_cast<size_t>(topology_->num_key_groups()), -1);
     if (options_.num_workers > 1) {
       pool_ = std::make_unique<WorkerPool>(options_.num_workers);
+      drain_job_ = [this](int w) { DrainClaimedNodes(w); };
       worker_ctx_.resize(static_cast<size_t>(options_.num_workers));
       if (prof_enabled_) {
         worker_prof_.resize(static_cast<size_t>(options_.num_workers));
@@ -315,12 +323,6 @@ void LocalEngine::MaybeSampleIngest(int64_t ts, size_t count,
   // with old event times.
   if (ts < last_sample_ts_us_) return;
   last_sample_ts_us_ = ts;
-  if (ingest_samples_.size() >= 2 * kMaxIngestSamples) {
-    // Compact in place: drop the older half. Only the driving thread runs
-    // here, and never while a wave is in flight.
-    ingest_samples_.erase(ingest_samples_.begin(),
-                          ingest_samples_.begin() + kMaxIngestSamples);
-  }
   int64_t wall = wall_ns;
   if (wall == 0) {
     wall = NowNs();
@@ -328,7 +330,34 @@ void LocalEngine::MaybeSampleIngest(int64_t ts, size_t count,
     // past — possibly a queue wait ago — so they never refresh the cache).
     coordinator_.wall_cache_ns = wall;
   }
-  ingest_samples_.push_back(IngestSample{ts, wall});
+  // The running wave's workers read the ring; the tuples this sample
+  // stamps are not in that wave, so publishing at its join loses nothing.
+  if (wave_in_flight_) {
+    deferred_samples_.push_back(IngestSample{ts, wall});
+  } else {
+    PublishIngestSample(IngestSample{ts, wall});
+  }
+}
+
+void LocalEngine::PublishIngestSample(const IngestSample& sample) {
+  if (ingest_samples_.size() >= 2 * kMaxIngestSamples) {
+    // Compact in place: drop the older half.
+    ingest_samples_.erase(ingest_samples_.begin(),
+                          ingest_samples_.begin() + kMaxIngestSamples);
+  }
+  ingest_samples_.push_back(sample);
+}
+
+void LocalEngine::MaybeStartJourney(int64_t ts, int64_t wall_ns,
+                                    size_t count) {
+  if (!wave_in_flight_) {
+    journeys_.MaybeStart(ts, wall_ns, count);
+    return;
+  }
+  // Workers claim hops against the active slots; start at the join, with
+  // the ingest stamp taken now.
+  deferred_journeys_.push_back(DeferredJourneyStart{
+      ts, wall_ns != 0 ? wall_ns : NowNs(), count});
 }
 
 bool LocalEngine::LookupIngestSample(int64_t ts, IngestSample* out) const {
@@ -360,11 +389,10 @@ int64_t LocalEngine::RecordBatchLatency(WorkerContext* ctx, OperatorId op,
   if (is_sink_[op]) {
     // Window-fire aggregates carry ts = 0 (they summarize a whole window,
     // not one input tuple); fall back to the event-time frontier — the
-    // newest data the aggregate can reflect. event_time_us_ only advances
-    // between waves, so the read is stable under worker concurrency.
+    // newest data the aggregate can reflect.
     IngestSample sample;
     bool found = LookupIngestSample(last_ts, &sample);
-    if (!found) found = LookupIngestSample(event_time_us_, &sample);
+    if (!found) found = LookupIngestSample(TelemetryFrontier(ctx), &sample);
     if (found) {
       lat.e2e_us.RecordN((t1 - sample.wall_ns) / 1000,
                          static_cast<int64_t>(tuples));
@@ -427,7 +455,7 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
   }
   CountIngested(/*shard=*/0, 1);
   if (telemetry_) MaybeSampleIngest(tuple.ts, 1, 0);
-  if (journeys_.enabled()) journeys_.MaybeStart(tuple.ts, 0, 1);
+  if (journeys_.enabled()) MaybeStartJourney(tuple.ts, 0, 1);
   if (options_.mode == ExecutionMode::kBatched) {
     PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
     if (tuple.ts >= event_time_us_) {
@@ -448,7 +476,7 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
                    &tuple, 1);
       ++staged_tuples_;
     }
-    if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
+    if (staged_tuples_ >= options_.max_batch_tuples) DrainStaged();
     return Status::OK();
   }
   if (tuple.ts >= event_time_us_) {
@@ -473,6 +501,27 @@ Status LocalEngine::Inject(OperatorId source_op, const Tuple& tuple) {
 }
 
 void LocalEngine::FlushInjectScatter(OperatorId source_op) {
+  if (pool_ != nullptr) {
+    // Multi-worker: the scattered runs join their owners' mailboxes (a
+    // move, not a copy) and the source operator runs on the drain threads;
+    // the driving thread only routes. Each bucket becomes its group's open
+    // batch, so a later single-tuple Inject appends behind it.
+    const KeyGroupId first = topology_->first_group(source_op);
+    for (const int group : inject_touched_) {
+      std::vector<Tuple>& bucket = inject_buckets_[group];
+      const size_t staged = bucket.size();
+      const NodeId owner = arena_.owner_of(first + group);
+      const int mailbox = owner < 0 ? 0 : owner;
+      EnqueueMailbox(mailbox, source_op, group, std::move(bucket),
+                     coordinator_.wall_cache_ns);
+      coordinator_.open_slot[first + group] =
+          static_cast<int32_t>(mailboxes_[mailbox].size() - 1);
+      bucket = AcquireVec(&coordinator_);
+      if (bucket.capacity() < staged) bucket.reserve(staged);
+    }
+    inject_touched_.clear();
+    return;
+  }
   // Delivers the inject-side scatter buckets straight to the source
   // operator (work is charged at delivery, like any other hop) — a move,
   // not a copy; downstream emissions land in the mailboxes for DrainAll.
@@ -515,9 +564,7 @@ Status LocalEngine::InjectBatch(OperatorId source_op, const Tuple* tuples,
     // event-time frontier, or window-fire aggregates emitted mid-run could
     // never find a covering sample.
     MaybeSampleIngest(tuples[0].ts, count, now);
-    if (journeys_.enabled()) {
-      journeys_.MaybeStart(tuples[0].ts, now, count);
-    }
+    if (journeys_.enabled()) MaybeStartJourney(tuples[0].ts, now, count);
   }
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
   const int src_groups = topology_->op(source_op).num_key_groups;
@@ -527,7 +574,9 @@ Status LocalEngine::InjectBatch(OperatorId source_op, const Tuple* tuples,
   }
   // Single-tuple Injects may have staged batches in the mailboxes; drain
   // them first so mixing the two ingestion APIs keeps per-group order.
-  if (staged_tuples_ > 0) DrainAll();
+  // (With more workers the scatter is staged behind them in the mailboxes,
+  // which keeps that order by itself.)
+  if (pool_ == nullptr && staged_tuples_ > 0) DrainAll();
   for (size_t i = 0; i < count; ++i) {
     const Tuple& t = tuples[i];
     if (t.ts >= event_time_us_) {
@@ -551,7 +600,7 @@ Status LocalEngine::InjectBatch(OperatorId source_op, const Tuple* tuples,
     }
     if (staged_tuples_ >= options_.max_batch_tuples) {
       FlushInjectScatter(source_op);
-      DrainAll();
+      DrainStaged();
     }
   }
   FlushInjectScatter(source_op);
@@ -579,8 +628,8 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
     MaybeSampleIngest(tuples[0].ts, count,
                       ingest_wall_ns != 0 ? ingest_wall_ns : now);
     if (journeys_.enabled()) {
-      journeys_.MaybeStart(tuples[0].ts,
-                           ingest_wall_ns != 0 ? ingest_wall_ns : now, count);
+      MaybeStartJourney(tuples[0].ts,
+                        ingest_wall_ns != 0 ? ingest_wall_ns : now, count);
     }
   }
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kIngest);
@@ -625,7 +674,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
                      group_index, g, &t, 1);
         ++staged_tuples_;
       }
-      if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
+      if (staged_tuples_ >= options_.max_batch_tuples) DrainStaged();
     }
     return Status::OK();
   }
@@ -642,7 +691,7 @@ Status LocalEngine::InjectRouted(OperatorId source_op, int shard,
                  g, tuples, count);
     staged_tuples_ += static_cast<int64_t>(count);
   }
-  if (staged_tuples_ >= options_.max_batch_tuples) DrainAll();
+  if (staged_tuples_ >= options_.max_batch_tuples) DrainStaged();
   return Status::OK();
 }
 
@@ -813,7 +862,7 @@ void LocalEngine::AppendRouted(WorkerContext* ctx, NodeId node, OperatorId op,
     dst.insert(dst.end(), data, data + count);
     return;
   }
-  std::vector<std::pair<int, PendingBatch>>& out = ctx->outbox;
+  std::vector<std::pair<int, PendingBatch>>& out = *ctx->outbox;
   if (slot >= 0 && static_cast<size_t>(slot) < out.size() &&
       out[slot].first == mailbox && out[slot].second.op == op &&
       out[slot].second.group_index == group_index &&
@@ -977,7 +1026,8 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
           // uses for the e2e match — the aggregate reflects everything up
           // to the frontier).
           journeys_.OnBatchDelivered(
-              op, g, batch_last_ts != 0 ? batch_last_ts : event_time_us_,
+              op, g,
+              batch_last_ts != 0 ? batch_last_ts : TelemetryFrontier(ctx),
               enqueue_ns, t0_ns, t1_ns);
         }
       }
@@ -1001,7 +1051,8 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
       if (journeys_.enabled()) {
         // ts = 0 window aggregates: see the scatter path above.
         journeys_.OnBatchDelivered(
-            op, g, batch_last_ts != 0 ? batch_last_ts : event_time_us_,
+            op, g,
+            batch_last_ts != 0 ? batch_last_ts : TelemetryFrontier(ctx),
             enqueue_ns, t0_ns, t1_ns);
       }
     }
@@ -1017,10 +1068,10 @@ void LocalEngine::DeliverBatch(WorkerContext* ctx, OperatorId op,
   }
 }
 
-void LocalEngine::RunWave(std::vector<std::vector<PendingBatch>>* wave) {
+void LocalEngine::RunWave() {
   ALBIC_TRACE_SPAN1("engine", "wave", "workers", options_.num_workers);
   if (options_.num_workers == 1) {
-    for (std::vector<PendingBatch>& box : *wave) {
+    for (std::vector<PendingBatch>& box : wave_) {
       for (PendingBatch& pb : box) {
         DeliverBatch(&coordinator_, pb.op, pb.group_index, &pb.batch,
                      pb.enqueue_ns);
@@ -1029,27 +1080,134 @@ void LocalEngine::RunWave(std::vector<std::vector<PendingBatch>>* wave) {
     }
     return;
   }
-  const int workers = options_.num_workers;
-  pool_->Run([&](int w) {
-    WorkerContext& ctx = worker_ctx_[static_cast<size_t>(w)];
-    for (size_t node = 0; node < wave->size(); ++node) {
-      if (static_cast<int>(node % static_cast<size_t>(workers)) != w) continue;
-      for (PendingBatch& pb : (*wave)[node]) {
-        DeliverBatch(&ctx, pb.op, pb.group_index, &pb.batch, pb.enqueue_ns);
-        ReleaseVec(&ctx, std::move(pb.batch.mutable_tuples()));
-      }
+  wave_frontier_us_ = event_time_us_;
+  pool_->Run(drain_job_);
+  MergeOutboxes();
+}
+
+void LocalEngine::DrainClaimedNodes(int w) {
+  WorkerContext& ctx = worker_ctx_[static_cast<size_t>(w)];
+  // Nodes are claimed one at a time rather than dealt out up front: a
+  // worker the OS deschedules (an oversubscribed machine) holds up at most
+  // the node it is on, and the driving thread picks up what is left when
+  // it joins. Each node is still drained whole by one worker, in mailbox
+  // order, so per-group FIFO order holds.
+  for (;;) {
+    const size_t i = wave_cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= wave_nodes_.size()) return;
+    const int node = wave_nodes_[i];
+    ctx.outbox = &node_outboxes_[static_cast<size_t>(node)];
+    for (PendingBatch& pb : wave_[static_cast<size_t>(node)]) {
+      DeliverBatch(&ctx, pb.op, pb.group_index, &pb.batch, pb.enqueue_ns);
+      ReleaseVec(&ctx, std::move(pb.batch.mutable_tuples()));
     }
-  });
-  // Merge outboxes on the coordinator, in worker order: deterministic for a
-  // fixed worker count, and no locking on the shared mailboxes.
-  for (WorkerContext& ctx : worker_ctx_) {
-    for (std::pair<int, PendingBatch>& item : ctx.outbox) {
+  }
+}
+
+void LocalEngine::MergeOutboxes() {
+  // Merge on the driving thread in node order: deterministic whichever
+  // worker drained which node, and no locking on the shared mailboxes.
+  for (const int node : wave_nodes_) {
+    std::vector<std::pair<int, PendingBatch>>& out =
+        node_outboxes_[static_cast<size_t>(node)];
+    for (std::pair<int, PendingBatch>& item : out) {
       EnqueueMailbox(item.first, item.second.op, item.second.group_index,
                      std::move(item.second.batch.mutable_tuples()),
                      item.second.enqueue_ns);
     }
-    ctx.outbox.clear();
+    out.clear();
   }
+}
+
+bool LocalEngine::CollectWave() {
+  staged_tuples_ = 0;
+  if (!ingress_.empty()) {
+    // Fan staged null-source batches out through the router (uncharged,
+    // as in legacy Inject).
+    std::vector<PendingBatch> ingress;
+    ingress.swap(ingress_);
+    for (const KeyGroupId g : ingress_used_) ingress_slot_[g] = -1;
+    ingress_used_.clear();
+    for (PendingBatch& pb : ingress) {
+      RouteBatch(&coordinator_, pb.op, pb.group_index, pb.batch);
+      ReleaseVec(&coordinator_, std::move(pb.batch.mutable_tuples()));
+    }
+  }
+  bool any = false;
+  for (const std::vector<PendingBatch>& box : mailboxes_) {
+    if (!box.empty()) {
+      any = true;
+      const int64_t depth = static_cast<int64_t>(box.size());
+      if (depth > period_.mailbox_highwater) {
+        period_.mailbox_highwater = depth;
+      }
+    }
+  }
+  if (!any) return false;
+  ++period_.waves;
+  // Per-node swap so the mailbox vectors' capacity circulates between the
+  // wave buffer and the live mailboxes instead of being reallocated.
+  if (wave_.size() < mailboxes_.size()) wave_.resize(mailboxes_.size());
+  wave_nodes_.clear();
+  for (size_t n = 0; n < mailboxes_.size(); ++n) {
+    wave_[n].clear();
+    wave_[n].swap(mailboxes_[n]);
+    if (!wave_[n].empty()) wave_nodes_.push_back(static_cast<int>(n));
+  }
+  if (node_outboxes_.size() < wave_.size()) {
+    node_outboxes_.resize(wave_.size());
+  }
+  wave_cursor_.store(0, std::memory_order_relaxed);
+  return true;
+}
+
+void LocalEngine::WaveBarrier() {
+  // Between worker waves every operator is quiescent and each group's
+  // log matches its state — the safe point for asynchronous incremental
+  // checkpoints (no global drain or alignment required). The same
+  // quiescence is the epoch boundary: pending kEpoch migrations stamp
+  // here, transfer in the background, and flip routing before the next
+  // wave resolves any owner.
+  if (!epoch_pending_.empty()) StampEpochBoundaries();
+  if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
+}
+
+void LocalEngine::DrainStaged() {
+  if (pool_ == nullptr) {
+    DrainAll();
+  } else {
+    LaunchWave();
+  }
+}
+
+void LocalEngine::LaunchWave() {
+  PhaseScope prof_scope(coordinator_.prof, WavePhase::kWaveBarrier);
+  JoinWave();
+  if (!CollectWave()) return;
+  wave_frontier_us_ = event_time_us_;
+  pool_->Start(drain_job_);
+  wave_in_flight_ = true;
+}
+
+void LocalEngine::JoinWave() {
+  if (!wave_in_flight_) return;
+  PhaseScope prof_scope(coordinator_.prof, WavePhase::kWaveBarrier);
+  DrainClaimedNodes(0);
+  pool_->Join();
+  wave_in_flight_ = false;
+  MergeOutboxes();
+  WaveBarrier();
+  FoldWorkers();
+  // Telemetry the driving thread took while the wave ran: its tuples are
+  // staged for the next wave, which sees it.
+  for (const IngestSample& sample : deferred_samples_) {
+    PublishIngestSample(sample);
+  }
+  deferred_samples_.clear();
+  for (const DeferredJourneyStart& j : deferred_journeys_) {
+    journeys_.MaybeStart(j.ts, j.wall_ns, j.count);
+  }
+  deferred_journeys_.clear();
 }
 
 void LocalEngine::DrainAll() {
@@ -1057,50 +1215,15 @@ void LocalEngine::DrainAll() {
   // barrier, outbox merges) charges to the wave-barrier phase; DeliverBatch
   // carves its service time out of it.
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kWaveBarrier);
-  std::vector<std::vector<PendingBatch>> wave;
-  for (;;) {
-    staged_tuples_ = 0;
-    if (!ingress_.empty()) {
-      // Fan staged null-source batches out through the router (uncharged,
-      // as in legacy Inject).
-      std::vector<PendingBatch> ingress;
-      ingress.swap(ingress_);
-      for (const KeyGroupId g : ingress_used_) ingress_slot_[g] = -1;
-      ingress_used_.clear();
-      for (PendingBatch& pb : ingress) {
-        RouteBatch(&coordinator_, pb.op, pb.group_index, pb.batch);
-        ReleaseVec(&coordinator_, std::move(pb.batch.mutable_tuples()));
-      }
-    }
-    bool any = false;
-    for (const std::vector<PendingBatch>& box : mailboxes_) {
-      if (!box.empty()) {
-        any = true;
-        const int64_t depth = static_cast<int64_t>(box.size());
-        if (depth > period_.mailbox_highwater) {
-          period_.mailbox_highwater = depth;
-        }
-      }
-    }
-    if (!any) break;
-    ++period_.waves;
-    // Per-node swap so the mailbox vectors' capacity circulates between the
-    // wave buffer and the live mailboxes instead of being reallocated.
-    if (wave.size() < mailboxes_.size()) wave.resize(mailboxes_.size());
-    for (size_t n = 0; n < mailboxes_.size(); ++n) {
-      wave[n].clear();
-      wave[n].swap(mailboxes_[n]);
-    }
-    RunWave(&wave);
-    // Between worker waves every operator is quiescent and each group's
-    // log matches its state — the safe point for asynchronous incremental
-    // checkpoints (no global drain or alignment required). The same
-    // quiescence is the epoch boundary: pending kEpoch migrations stamp
-    // here, transfer in the background, and flip routing before the next
-    // wave resolves any owner.
-    if (!epoch_pending_.empty()) StampEpochBoundaries();
-    if (checkpointer_ != nullptr) checkpointer_->OnSafePoint(this);
+  JoinWave();
+  while (CollectWave()) {
+    RunWave();
+    WaveBarrier();
   }
+  FoldWorkers();
+}
+
+void LocalEngine::FoldWorkers() {
   // Fold the workers' period contributions into the engine's stats.
   for (WorkerContext& ctx : worker_ctx_) MergeStats(&period_, &ctx.local);
   if (prof_enabled_ && !worker_prof_.empty()) {
@@ -1111,6 +1234,17 @@ void LocalEngine::DrainAll() {
     const int64_t now = ProfilerNowNs();
     for (size_t w = 1; w < worker_prof_.size(); ++w) {
       worker_prof_[w].FlushNonIdleInto(&period_.phases, now);
+    }
+  }
+  // Source batches carry the driving thread's tuple vectors to the
+  // workers, whose pools they return to; hand spares back so ingestion
+  // keeps reusing capacity instead of allocating.
+  for (WorkerContext& ctx : worker_ctx_) {
+    std::vector<std::vector<Tuple>>& spare = ctx.vec_pool;
+    while (spare.size() > kWorkerVecReserve &&
+           coordinator_.vec_pool.size() < kCoordinatorVecReserve) {
+      coordinator_.vec_pool.push_back(std::move(spare.back()));
+      spare.pop_back();
     }
   }
   // Between waves the driving thread is the only mutator: sweep completed
@@ -1226,6 +1360,7 @@ Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
     return Status::InvalidArgument(
         "indirect migration requires checkpointing (EnableCheckpointing)");
   }
+  JoinWave();  // quiescence point: workers read migrating_
   if (mode == MigrationMode::kEpoch && checkpointer_ == nullptr) {
     // The caller asked for a move, not a mechanism: without the checkpoint
     // subsystem there is no background chain to ship, so the move degrades
@@ -1368,6 +1503,7 @@ void LocalEngine::StampEpochBoundaries() {
 }
 
 Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
+  JoinWave();  // quiescence point: the flip and drain below need it
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kMigration);
   MigrationState& mig = migrating_[group];
   if (!mig.active) {
@@ -1512,6 +1648,7 @@ Status LocalEngine::MigrateGroup(KeyGroupId group, NodeId to,
 
 MigrationPauseEstimate LocalEngine::EstimateMigrationPause(
     KeyGroupId group) const {
+  AwaitWave();  // the replay logs below are written by the workers
   MigrationPauseEstimate est;
   est.direct_us =
       kEnginePauseUsPerByte * topology_->group_state_bytes(group);
@@ -1556,6 +1693,7 @@ MigrationPauseEstimate LocalEngine::EstimateMigrationPause(
 std::vector<double> LocalEngine::ReplaySuffixBytes() const {
   std::vector<double> out;
   if (checkpointer_ == nullptr) return out;
+  AwaitWave();
   out.assign(static_cast<size_t>(topology_->num_key_groups()), -1.0);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     CheckpointInfo info;
@@ -1590,6 +1728,7 @@ std::vector<uint8_t> LocalEngine::LeaseAvailability() const {
 std::vector<double> LocalEngine::EpochTransferBytes() const {
   std::vector<double> out;
   if (checkpointer_ == nullptr) return out;
+  AwaitWave();
   out.assign(static_cast<size_t>(topology_->num_key_groups()), -1.0);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     CheckpointInfo info;
@@ -1612,6 +1751,7 @@ Status LocalEngine::EnableCheckpointing(CheckpointCoordinator* coordinator) {
   if (checkpointer_ != nullptr) {
     return Status::AlreadyExists("checkpointing already enabled");
   }
+  JoinWave();  // quiescence point: workers start logging below
   checkpointer_ = coordinator;
   max_log_entries_ = coordinator->options().max_log_entries;
   max_delta_chain_ = coordinator->options().max_delta_chain;
@@ -1658,6 +1798,7 @@ Result<CheckpointRoundResult> LocalEngine::CheckpointDirtyGroups() {
   if (checkpointer_ == nullptr) {
     return Status::InvalidArgument("checkpointing not enabled");
   }
+  JoinWave();  // quiescence point (no-op inside a barrier's own round)
   CheckpointStore* store = checkpointer_->store();
   CheckpointRoundResult result;
   ALBIC_TRACE_SPAN("checkpoint", "checkpoint.round");
@@ -1768,6 +1909,7 @@ Status LocalEngine::FailNode(NodeId node) {
         "failure injection requires checkpointing: lost state would be "
         "unrecoverable");
   }
+  JoinWave();  // quiescence point: state is cleared below
   ALBIC_TRACE_INSTANT("recovery", "node.failed");
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kRecovery);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
@@ -1822,6 +1964,7 @@ Result<GroupRecovery> LocalEngine::RecoverGroup(KeyGroupId group, NodeId to) {
       !cluster_->is_active(to)) {
     return Status::InvalidArgument("recovery target node not active");
   }
+  JoinWave();  // quiescence point: restore + replay below
   const OperatorId op = topology_->group_operator(group);
   const int local = topology_->group_index_in_operator(group);
   GroupRecovery out;

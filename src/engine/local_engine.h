@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -57,9 +58,10 @@ struct LocalEngineOptions {
   /// Window cadence in event-time microseconds (0 disables windows).
   int64_t window_every_us = 60LL * 1000 * 1000;
   ExecutionMode mode = ExecutionMode::kTupleAtATime;
-  /// Worker threads draining node mailboxes (batched mode only). Worker w
-  /// owns the mailboxes of nodes with id % num_workers == w; 1 means no
-  /// threads are spawned and execution is deterministic.
+  /// Workers draining node mailboxes (batched mode only): the driving
+  /// thread plus num_workers - 1 pool threads, which claim a wave's nodes
+  /// one at a time (see LocalEngine). 1 means no threads are spawned and
+  /// the drain runs inline.
   int num_workers = 1;
   /// Injected tuples buffered before the pipeline is drained (batched mode
   /// only); also caps the size of one TupleBatch. Larger batches amortize
@@ -210,9 +212,21 @@ struct MigrationPauseEstimate {
 ///    TupleBatches; a drain processes them in waves — each wave takes the
 ///    current node mailboxes, delivers their batches (ProcessBatch), and
 ///    routes the emitted tuples into next-wave mailboxes. With
-///    num_workers > 1 the nodes of a wave are split across a worker pool;
-///    per-worker stats and outboxes are merged at the wave barrier in
-///    worker order, so results are deterministic for a fixed worker count.
+///    num_workers > 1 waves are software-pipelined: reaching the staging
+///    threshold launches one wave on the pool's num_workers - 1 drain
+///    threads, which claim its nodes one at a time, and returns, so the
+///    driving thread routes the next input while the wave runs. Source
+///    operators run on the drain threads too; the driving thread only
+///    routes and merges. The wave is joined lazily — just before the next
+///    launch, or at a quiescence point (DrainAll, i.e. Flush, window fire
+///    and HarvestPeriod; migration start and finish; FailNode and
+///    RecoverGroup; checkpoint enable and forced rounds); joining, the
+///    driving thread drains the nodes nobody claimed yet. The join is the
+///    wave barrier: per-node outboxes merge in node order, epochs stamp,
+///    leases flip and the checkpoint coordinator gets its safe point. Wave
+///    k+1 launches only after wave k joined, so per-group FIFO order holds
+///    and wave composition is deterministic. Synchronous drains run the
+///    remaining waves with every worker, the driving thread included.
 ///    Tuple order is preserved per (source group -> destination group)
 ///    stream, the guarantee key-group parallelism gives (§3).
 ///
@@ -220,6 +234,8 @@ struct MigrationPauseEstimate {
 /// between injections; a migration started while batches are in flight
 /// simply buffers every tuple later delivered to the group, preserving
 /// arrival order, and FinishMigration drains the buffer before new input.
+/// With num_workers > 1 a wave may still run after an ingest call returns:
+/// read operator state directly only after a quiescence point (Flush).
 class LocalEngine {
  public:
   /// \brief Operator implementations are supplied per OperatorId; entries
@@ -385,6 +401,7 @@ class LocalEngine {
 
   /// \brief Read access to a group's replay log (tests, cost accounting).
   const ReplayLog& replay_log(KeyGroupId group) const {
+    AwaitWave();
     return group_logs_[group];
   }
 
@@ -418,7 +435,10 @@ class LocalEngine {
 
   /// \brief The arena owning every operator's state slots and the lease
   /// table mapping groups to their current owners (tests, observability).
-  const StateArena& arena() const { return arena_; }
+  const StateArena& arena() const {
+    AwaitWave();
+    return arena_;
+  }
 
   int64_t event_time() const { return event_time_us_; }
   const LocalEngineOptions& options() const { return options_; }
@@ -464,7 +484,9 @@ class LocalEngine {
     EnginePeriodStats* stats = nullptr;
     EnginePeriodStats local;
     bool direct = false;  ///< Enqueue straight into the engine's mailboxes.
-    std::vector<std::pair<int, PendingBatch>> outbox;  ///< (mailbox, batch)
+    /// Where routed batches go when not direct: the outbox of the node
+    /// being drained (see node_outboxes_). (mailbox, batch) pairs.
+    std::vector<std::pair<int, PendingBatch>>* outbox = nullptr;
     std::vector<std::vector<Tuple>> buckets;  ///< Route scratch per dst group.
     std::vector<int> touched;                 ///< Buckets in use.
     TupleBatch emitted;                       ///< ProcessBatch staging.
@@ -473,9 +495,12 @@ class LocalEngine {
     /// free once warmed up.
     std::vector<std::vector<Tuple>> vec_pool;
     /// Global group -> index of the batch currently open for appends in
-    /// this context's staging area (mailboxes_ when direct, outbox
-    /// otherwise). Validated before use, so stale entries self-heal; lets
-    /// routed tuples coalesce across all source batches of a wave.
+    /// this context's staging area (mailboxes_ when direct, the current
+    /// node's outbox otherwise). Validated before use, so stale entries —
+    /// from another wave or another node's outbox — simply miss: a batch
+    /// opened for the group in the current staging area re-registered
+    /// itself here. Lets routed tuples coalesce across all batches a node
+    /// drains in a wave.
     std::vector<int32_t> open_slot;
     /// Telemetry: cached wall clock used to stamp batches at enqueue.
     /// Refreshed at every batch delivery and ingest entry point, so stamps
@@ -572,12 +597,58 @@ class LocalEngine {
   /// cannot make the inter-node transfer take real wall time).
   void RecordBufferedPause(double pause_us, size_t buffered);
 
+  /// Starts a sampled journey at ingest, or defers the start to the next
+  /// wave join while a pipelined wave (whose workers claim hops) runs.
+  void MaybeStartJourney(int64_t ts, int64_t wall_ns, size_t count);
+  /// Appends one ingestion sample, compacting the ring when it is full.
+  /// Workers read the ring during waves, so it is written only while none
+  /// runs; MaybeSampleIngest defers samples taken during a pipelined wave.
+  void PublishIngestSample(const IngestSample& sample);
+  /// Event-time frontier that \p ctx's telemetry may read: the live value
+  /// on the driving thread's direct context, the value at wave launch on
+  /// pool workers (the driving thread advances the live one meanwhile).
+  int64_t TelemetryFrontier(const WorkerContext* ctx) const {
+    return ctx->direct ? event_time_us_ : wave_frontier_us_;
+  }
+
   // --- batched path ---
   void CountIngested(int shard, size_t count);
   void StageIngress(OperatorId op, int group_index, const Tuple& tuple);
   void FlushInjectScatter(OperatorId source_op);
+  /// The staging threshold was reached: drain synchronously with one
+  /// worker, launch a pipelined wave with more.
+  void DrainStaged();
   void DrainAll();
-  void RunWave(std::vector<std::vector<PendingBatch>>* wave);
+  /// Routes staged null-source batches and moves the non-empty mailboxes
+  /// into wave_; false (and no wave) when nothing is pending.
+  bool CollectWave();
+  /// Runs wave_ synchronously: inline with one worker, on every pool
+  /// worker (the driving thread as worker 0) with more.
+  void RunWave();
+  /// Multi-worker only: joins the in-flight wave (if any), then launches
+  /// wave_ on the pool threads and returns without waiting.
+  void LaunchWave();
+  /// Joins the in-flight pipelined wave, if any — draining nodes no pool
+  /// thread claimed yet on the calling thread — and performs its wave
+  /// barrier. Every quiescence point calls this first.
+  void JoinWave();
+  /// Waits for the in-flight wave's workers without performing the barrier
+  /// (the next JoinWave does): lets const accessors read worker-written
+  /// state.
+  void AwaitWave() const {
+    if (wave_in_flight_) pool_->Join();
+  }
+  /// A wave participant's share: claims undrained nodes of wave_ until none
+  /// is left and delivers them with worker \p w's context.
+  void DrainClaimedNodes(int w);
+  /// Appends every node's outbox to the mailboxes, in node order.
+  void MergeOutboxes();
+  /// The per-wave safe point: stamps pending epoch/lease boundaries and
+  /// offers the checkpoint coordinator its round.
+  void WaveBarrier();
+  /// Folds the workers' stats, phase charges and journeys into the
+  /// period, and returns spare tuple vectors to the driving thread.
+  void FoldWorkers();
   /// Delivers one batch to (op, group_index). With checkpointing enabled
   /// the batch's vector may be moved into the group's replay log, leaving
   /// \p batch empty on return. \p enqueue_ns is the mailbox enqueue stamp
@@ -742,12 +813,38 @@ class LocalEngine {
   std::vector<std::vector<Tuple>> inject_buckets_;
   std::vector<int> inject_touched_;
   std::vector<std::vector<PendingBatch>> mailboxes_;  ///< Per node.
-  int64_t staged_tuples_ = 0;  ///< Injected since the last drain.
+  int64_t staged_tuples_ = 0;  ///< Injected since the last drain/launch.
   WorkerContext coordinator_;
   std::vector<WorkerContext> worker_ctx_;  ///< Pool workers (multi-worker).
-  std::unique_ptr<WorkerPool> pool_;
   std::mutex migration_buffer_mu_;  ///< Guards MigrationState::buffer pushes.
   EngineMetricSet metrics_;  ///< All null unless options_.metrics is set.
+  /// The wave being delivered: per-node batches taken from mailboxes_.
+  std::vector<std::vector<PendingBatch>> wave_;
+  /// A pipelined wave was launched and not yet joined.
+  bool wave_in_flight_ = false;
+  /// event_time_us_ at the current wave's launch (see TelemetryFrontier).
+  int64_t wave_frontier_us_ = 0;
+  /// Telemetry taken while a pipelined wave ran, applied at its join.
+  std::vector<IngestSample> deferred_samples_;
+  struct DeferredJourneyStart {
+    int64_t ts = 0;
+    int64_t wall_ns = 0;
+    size_t count = 0;
+  };
+  std::vector<DeferredJourneyStart> deferred_journeys_;
+  /// Nodes of wave_ with batches, in node order; participants claim them
+  /// through wave_cursor_ (next index to hand out).
+  std::vector<int> wave_nodes_;
+  std::atomic<size_t> wave_cursor_{0};
+  /// Per source node: the batches its groups emitted during the wave.
+  /// Merged in node order, so the next wave's mailboxes do not depend on
+  /// which worker drained which node.
+  std::vector<std::vector<std::pair<int, PendingBatch>>> node_outboxes_;
+  /// The pool job of every multi-worker wave (DrainClaimedNodes).
+  std::function<void(int)> drain_job_;
+  /// Declared last: destroyed first, so no pool thread outlives the state
+  /// its job touches.
+  std::unique_ptr<WorkerPool> pool_;
 };
 
 }  // namespace albic::engine

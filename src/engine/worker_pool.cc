@@ -1,6 +1,56 @@
 #include "engine/worker_pool.h"
 
+#include <algorithm>
+#include <cassert>
+#include <chrono>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace albic::engine {
+
+namespace {
+
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Spins until \p done() holds or \p *budget_ns elapsed; true when the
+/// condition was met while spinning. Adapts the caller's budget: a spin
+/// that paid off doubles it (up to WorkerPool::kSpinNs), a fruitless one
+/// halves it (down to WorkerPool::kMinSpinNs). When waits outlast the
+/// spin — an idle engine, or an oversubscribed machine where the thread
+/// being waited for is descheduled — the spinner soon parks almost at
+/// once instead of burning a core others need.
+template <typename Pred>
+bool SpinUntil(Pred done, int64_t* budget_ns) {
+  const int64_t deadline = SteadyNowNs() + *budget_ns;
+  for (int i = 1;; ++i) {
+    if (done()) {
+      *budget_ns = std::min(WorkerPool::kSpinNs, 2 * *budget_ns);
+      return true;
+    }
+    CpuRelax();
+    if ((i & 63) == 0 && SteadyNowNs() > deadline) {
+      if (done()) return true;
+      *budget_ns = std::max(WorkerPool::kMinSpinNs, *budget_ns / 2);
+      return false;
+    }
+  }
+}
+
+}  // namespace
 
 WorkerPool::WorkerPool(int num_workers)
     : num_workers_(num_workers < 1 ? 1 : num_workers) {
@@ -11,9 +61,10 @@ WorkerPool::WorkerPool(int num_workers)
 }
 
 WorkerPool::~WorkerPool() {
+  Join();
+  stop_.store(true);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
   }
   start_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
@@ -21,42 +72,58 @@ WorkerPool::~WorkerPool() {
 
 void WorkerPool::ThreadLoop(int worker_index) {
   int64_t seen_generation = 0;
+  int64_t spin_budget_ns = kSpinNs;
+  const auto has_work = [&] {
+    return stop_.load() || generation_.load() != seen_generation;
+  };
   for (;;) {
-    const std::function<void(int)>* job = nullptr;
-    {
+    if (!SpinUntil(has_work, &spin_budget_ns)) {
       std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] {
-        return stop_ || generation_ > seen_generation;
-      });
-      if (stop_) return;
-      seen_generation = generation_;
-      job = job_;
+      parked_threads_.fetch_add(1);
+      start_cv_.wait(lock, has_work);
+      parked_threads_.fetch_sub(1);
     }
-    (*job)(worker_index);
-    {
+    if (stop_.load()) return;
+    seen_generation = generation_.load();
+    (*job_)(worker_index);
+    if (outstanding_.fetch_sub(1) == 1 && join_parked_.load()) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (--outstanding_ == 0) done_cv_.notify_all();
+      done_cv_.notify_one();
     }
   }
 }
 
-void WorkerPool::Run(const std::function<void(int)>& fn) {
+void WorkerPool::Start(const std::function<void(int)>& fn) {
+  assert(!outstanding_round_);
   ++runs_;
-  if (num_workers_ == 1) {
-    fn(0);
-    return;
-  }
-  {
+  if (num_workers_ == 1) return;
+  outstanding_round_ = true;
+  job_ = &fn;
+  outstanding_.store(num_workers_ - 1);
+  generation_.fetch_add(1);
+  if (parked_threads_.load() > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    job_ = &fn;
-    outstanding_ = num_workers_ - 1;
-    ++generation_;
+    start_cv_.notify_all();
   }
-  start_cv_.notify_all();
-  fn(0);
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return outstanding_ == 0; });
+}
+
+void WorkerPool::Join() {
+  if (!outstanding_round_) return;
+  outstanding_round_ = false;
+  const auto done = [&] { return outstanding_.load() == 0; };
+  if (!SpinUntil(done, &join_spin_budget_ns_)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    join_parked_.store(true);
+    done_cv_.wait(lock, done);
+    join_parked_.store(false);
+  }
   job_ = nullptr;
+}
+
+void WorkerPool::Run(const std::function<void(int)>& fn) {
+  Start(fn);
+  fn(0);
+  Join();
 }
 
 }  // namespace albic::engine

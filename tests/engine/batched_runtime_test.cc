@@ -3,17 +3,22 @@
 // EnginePeriodStats and operator outputs on the Real Job 1 pipeline
 // (including across migrations), migrations started while batches are
 // staged buffer and drain in arrival order, and multi-worker execution
-// reaches the same final state.
+// reaches the same final state — also with 2–4 workers pipelining waves
+// behind ingestion while the schedule reconfigures and checkpoints.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "engine/checkpoint.h"
 #include "engine/local_engine.h"
 #include "ops/geohash.h"
 #include "ops/topk.h"
+#include "tests/engine/reconfig_harness.h"
 #include "workload/streams.h"
 
 namespace albic {
@@ -21,6 +26,7 @@ namespace {
 
 using engine::ExecutionMode;
 using engine::KeyGroupId;
+using engine::NodeId;
 using engine::Tuple;
 
 constexpr int kNodes = 4;
@@ -136,20 +142,148 @@ TEST(BatchedRuntimeTest, MultiWorkerMatchesSingleWorker) {
   one.mode = ExecutionMode::kBatched;
   one.num_workers = 1;
   Pipeline single(one);
-
-  engine::LocalEngineOptions four;
-  four.mode = ExecutionMode::kBatched;
-  four.num_workers = 4;
-  Pipeline multi(four);
-
   constexpr int kTuples = 30000;
-  engine::EnginePeriodStats s1 = single.RunWiki(kTuples);
-  engine::EnginePeriodStats s4 = multi.RunWiki(kTuples);
+  const engine::EnginePeriodStats s1 = single.RunWiki(kTuples);
 
-  // All work/serde constants in this job are exactly representable, so the
-  // sums must agree exactly regardless of the merge order.
-  ExpectStatsEqual(s1, s4);
-  EXPECT_EQ(single.GlobalCounts(), multi.GlobalCounts());
+  // Two workers pipeline on one drain thread; three and four split the
+  // nodes over two and three.
+  for (int workers = 2; workers <= 4; ++workers) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    engine::LocalEngineOptions multi_opts;
+    multi_opts.mode = ExecutionMode::kBatched;
+    multi_opts.num_workers = workers;
+    Pipeline multi(multi_opts);
+    const engine::EnginePeriodStats sw = multi.RunWiki(kTuples);
+    // All work/serde constants in this job are exactly representable, so
+    // the sums must agree exactly regardless of the merge order.
+    ExpectStatsEqual(s1, sw);
+    EXPECT_EQ(single.GlobalCounts(), multi.GlobalCounts());
+  }
+}
+
+/// Sums the counters ExpectStatsEqual compares across harvested periods.
+void Accumulate(engine::EnginePeriodStats* into,
+                const engine::EnginePeriodStats& from) {
+  into->tuples_processed += from.tuples_processed;
+  for (size_t g = 0; g < from.group_work.size(); ++g) {
+    if (into->group_work.size() < from.group_work.size()) {
+      into->group_work.resize(from.group_work.size(), 0.0);
+    }
+    into->group_work[g] += from.group_work[g];
+  }
+}
+
+TEST(BatchedRuntimeTest, PipelinedWavesMatchOracleUnderReconfiguration) {
+  // Multi-worker waves run while InjectBatch returns; every quiescence
+  // point must join them correctly. The schedule calls HarvestPeriod,
+  // StartMigration (lease, epoch, direct) and FailNode right after an
+  // InjectBatch with no Flush, with checkpointing and delta chains on,
+  // over chunks that cross window boundaries mid-chunk. Per-window output
+  // at every harvest, and final state, must match a 1-node, 1-worker,
+  // no-reconfiguration oracle fed the same chunks bit for bit.
+  using testing::ReconfigOptions;
+  using testing::ReconfigPipeline;
+  constexpr int64_t kWindowUs = 500LL * 1000;  // ~1000 tuples per window
+  const std::vector<Tuple> stream =
+      testing::MakeWikiStream(24000, /*articles=*/250, /*seed=*/303);
+  const size_t chunk_sizes[] = {1500, 777, 2100, 333, 1024};
+
+  for (int workers = 2; workers <= 4; ++workers) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ReconfigOptions oracle_opts;
+    oracle_opts.nodes = 1;
+    oracle_opts.window_every_us = kWindowUs;
+    ReconfigPipeline oracle(oracle_opts);
+
+    ReconfigOptions run_opts;
+    run_opts.nodes = 6;
+    run_opts.window_every_us = kWindowUs;
+    run_opts.num_workers = workers;
+    run_opts.max_batch_tuples = 256;  // several launches per chunk
+    ReconfigPipeline run(run_opts);
+    engine::CheckpointCoordinatorOptions copts;
+    copts.interval_us = 300LL * 1000;
+    copts.max_delta_chain = 3;
+    run.EnableCheckpointing(copts);
+
+    engine::EnginePeriodStats oracle_sum, run_sum;
+    KeyGroupId open_group = -1;  // lease/epoch move left open across a chunk
+    int harvests = 0, kills = 0, moves = 0;
+    size_t offset = 0;
+    for (int step = 0; offset < stream.size(); ++step) {
+      const size_t n = std::min(chunk_sizes[step % 5], stream.size() - offset);
+      ASSERT_TRUE(oracle.engine->InjectBatch(0, stream.data() + offset, n).ok());
+      ASSERT_TRUE(run.engine->InjectBatch(0, stream.data() + offset, n).ok());
+      offset += n;
+      // Right after the ingest call, with a wave possibly in flight:
+      if (open_group >= 0) {
+        ASSERT_TRUE(run.engine->FinishMigration(open_group).ok());
+        open_group = -1;
+      }
+      const KeyGroupId g =
+          static_cast<KeyGroupId>((step * 5) % run.topo.num_key_groups());
+      NodeId to = (run.engine->assignment().node_of(g) + 1) % run_opts.nodes;
+      while (!run.cluster.is_active(to)) to = (to + 1) % run_opts.nodes;
+      switch (step % 6) {
+        case 0:
+        case 1: {
+          // Zero-pause modes stay open across the next chunk's window fires.
+          const engine::MigrationMode mode = step % 6 == 0
+                                                 ? engine::MigrationMode::kLease
+                                                 : engine::MigrationMode::kEpoch;
+          ASSERT_TRUE(run.engine->StartMigration(g, to, mode).ok());
+          open_group = g;
+          ++moves;
+          break;
+        }
+        case 2:
+          // Buffering moves finish before the next chunk can fire a window.
+          ASSERT_TRUE(run.engine->MigrateGroup(g, to).ok());
+          ++moves;
+          break;
+        case 3:
+          Accumulate(&oracle_sum, oracle.engine->HarvestPeriod());
+          Accumulate(&run_sum, run.engine->HarvestPeriod());
+          EXPECT_EQ(run.GlobalCounts(), oracle.GlobalCounts())
+              << "window output at offset " << offset;
+          ++harvests;
+          break;
+        case 4:
+          if (run.cluster.num_active() > 3) {
+            NodeId victim = static_cast<NodeId>(step % run_opts.nodes);
+            while (!run.cluster.is_active(victim)) {
+              victim = (victim + 1) % run_opts.nodes;
+            }
+            ASSERT_TRUE(run.engine->FailNode(victim).ok());
+            ASSERT_TRUE(run.cluster.Fail(victim).ok());
+            NodeId target = 0;
+            while (!run.cluster.is_active(target)) ++target;
+            const std::vector<KeyGroupId> lost = run.engine->lost_groups();
+            for (const KeyGroupId lg : lost) {
+              ASSERT_TRUE(run.engine->RecoverGroup(lg, target).ok());
+            }
+            ++kills;
+          }
+          break;
+        default:
+          break;  // plain ingestion: the wave stays in flight
+      }
+    }
+    if (open_group >= 0) {
+      ASSERT_TRUE(run.engine->FinishMigration(open_group).ok());
+    }
+    oracle.engine->Flush();
+    run.engine->Flush();
+    Accumulate(&oracle_sum, oracle.engine->HarvestPeriod());
+    Accumulate(&run_sum, run.engine->HarvestPeriod());
+    EXPECT_GT(harvests, 2);
+    EXPECT_GT(kills, 0);
+    EXPECT_GT(moves, 4);
+    testing::ExpectSameOutputs(&run, &oracle,
+                               "workers " + std::to_string(workers));
+    EXPECT_EQ(run_sum.tuples_processed, oracle_sum.tuples_processed);
+    EXPECT_EQ(run_sum.group_work, oracle_sum.group_work);
+  }
 }
 
 TEST(BatchedRuntimeTest, InjectBatchMatchesPerTupleInject) {
@@ -254,6 +388,49 @@ TEST(BatchedRuntimeTest, MigrationMidBatchBuffersAndDrainsInOrder) {
   engine::EnginePeriodStats stats = eng.HarvestPeriod();
   EXPECT_EQ(stats.tuples_processed, 7);
   EXPECT_EQ(stats.tuples_buffered, 5);
+}
+
+TEST(BatchedRuntimeTest, MixedIngestKeepsGroupOrderAcrossPipelinedWaves) {
+  // Inject and InjectBatch interleaved on a multi-worker engine whose
+  // waves launch every few tuples and are never flushed in between: each
+  // group must still see its tuples in arrival order.
+  engine::Topology topo;
+  topo.AddOperator("rec", 2, 1 << 10);
+  engine::Cluster cluster(2);
+  engine::Assignment assign(topo.num_key_groups());
+  for (KeyGroupId g = 0; g < topo.num_key_groups(); ++g) {
+    assign.set_node(g, g % 2);
+  }
+  RecordingOperator rec(2);
+  engine::LocalEngineOptions opts;
+  opts.mode = ExecutionMode::kBatched;
+  opts.num_workers = 3;
+  opts.max_batch_tuples = 5;
+  opts.window_every_us = 0;
+  engine::LocalEngine eng(&topo, &cluster, assign,
+                          std::vector<engine::StreamOperator*>{&rec}, opts);
+
+  std::vector<Tuple> stream(200);
+  std::vector<double> expected[2];
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].key = i % 7;
+    stream[i].num = static_cast<double>(i);
+    expected[engine::LocalEngine::RouteKey(stream[i].key, 2)].push_back(
+        static_cast<double>(i));
+  }
+  size_t i = 0;
+  for (size_t step = 0; i < stream.size(); ++step) {
+    if (step % 2 == 0) {
+      ASSERT_TRUE(eng.Inject(0, stream[i++]).ok());
+    } else {
+      const size_t n = std::min<size_t>(1 + step % 9, stream.size() - i);
+      ASSERT_TRUE(eng.InjectBatch(0, stream.data() + i, n).ok());
+      i += n;
+    }
+  }
+  eng.Flush();
+  EXPECT_EQ(rec.seen(0), expected[0]);
+  EXPECT_EQ(rec.seen(1), expected[1]);
 }
 
 TEST(BatchedRuntimeTest, AutoDrainTriggersAtBatchLimit) {

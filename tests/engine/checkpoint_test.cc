@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -350,6 +351,55 @@ TEST(FileCheckpointStoreTest, DeltaChainSurvivesReopenBitIdentical) {
     ASSERT_TRUE(recovered.ApplyGroupDelta(0, d).ok());
   }
   EXPECT_EQ(recovered.SerializeGroupState(0), live.SerializeGroupState(0));
+  std::filesystem::remove_all(dir);
+}
+
+/// Overwrites the u64 at byte \p offset of \p path in place.
+void PatchU64(const std::string& path, std::streamoff offset, uint64_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  ASSERT_TRUE(f.good()) << path;
+}
+
+TEST(FileCheckpointStoreTest, CorruptedSizeFieldsAreRejectedNotAllocated) {
+  // A record's payload size (header bytes 16..23) and the manifest's entry
+  // count (same offset) patched to 1 TiB: reads must fail cleanly instead
+  // of allocating what the field claims (std::bad_alloc).
+  const std::string dir =
+      ::testing::TempDir() + "/albic_file_ckpt_corrupt_size_test";
+  std::filesystem::remove_all(dir);
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  constexpr std::streamoff kSizeField = 2 * sizeof(uint64_t);
+  {
+    auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Put(3, 10, "payload").ok());
+    CheckpointManifest manifest;
+    manifest.epoch = 1;
+    manifest.shard_offsets = {5};
+    ASSERT_TRUE((*store)->PutManifest(manifest).ok());
+    ASSERT_TRUE((*store)->LatestManifest(nullptr));
+
+    PatchU64(dir + "/g3_v1.ckpt", kSizeField, kHuge);
+    PatchU64(dir + "/MANIFEST", kSizeField, kHuge);
+    // The live store's index still says 7 bytes: the record disagrees.
+    std::string state;
+    EXPECT_FALSE((*store)->Get(3, 1, nullptr, &state));
+    EXPECT_FALSE((*store)->Latest(3, nullptr, &state));
+    CheckpointManifest read;
+    EXPECT_FALSE((*store)->LatestManifest(&read));
+  }
+  // Reopened, the index takes the corrupted size from the header; the file
+  // length still bounds it.
+  auto store = engine::FileCheckpointStore::Open(dir, /*retain_versions=*/2);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::string state;
+  std::vector<std::string> deltas;
+  EXPECT_FALSE((*store)->Latest(3, nullptr, &state));
+  EXPECT_FALSE((*store)->LatestChain(3, nullptr, &state, &deltas));
+  EXPECT_FALSE((*store)->LatestManifest(nullptr));
   std::filesystem::remove_all(dir);
 }
 

@@ -31,6 +31,9 @@ struct ReconfigOptions {
   int groups = 8;  ///< Key groups PER OPERATOR (three operators).
   int64_t window_every_us = 500LL * 1000;
   int num_workers = 1;
+  /// Staging threshold: with more than one worker, each time it is reached
+  /// a wave launches and runs while ingestion continues.
+  int max_batch_tuples = 4096;
   engine::ExecutionMode mode = engine::ExecutionMode::kBatched;
   /// Optional registry the engine publishes into (soak test: counters must
   /// be live when traffic flowed).
@@ -74,6 +77,7 @@ struct ReconfigPipeline {
     eopts.mode = opts.mode;
     eopts.window_every_us = opts.window_every_us;
     eopts.num_workers = opts.num_workers;
+    eopts.max_batch_tuples = opts.max_batch_tuples;
     eopts.metrics = opts.metrics;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,

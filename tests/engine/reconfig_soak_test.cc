@@ -1,6 +1,8 @@
 // Randomized reconfiguration soak: a seeded fuzz schedule of direct,
-// indirect, epoch and lease migrations plus node failures, interleaved
-// with sharded ingestion on a multi-worker pipeline, differentially
+// indirect, epoch and lease migrations, node failures and period harvests,
+// interleaved with sharded ingestion on a 2-, 3- or 4-worker pipeline
+// (by seed) whose waves run behind ingestion — every action lands right
+// after an ingest call, with a wave possibly in flight — differentially
 // checked against a single-node no-reconfiguration oracle. Node kills can
 // land while a migration is still open (including a pending or
 // just-stamped lease flip), so the schedule exercises the
@@ -124,7 +126,7 @@ void RunSoak(uint64_t seed) {
   ASSERT_TRUE(oracle.engine->InjectBatch(0, stream.data(), stream.size()).ok());
   oracle.engine->Flush();
 
-  // Fuzzed run: wide cluster, two workers, checkpointing with delta chains.
+  // Fuzzed run: wide cluster, 2-4 workers, checkpointing with delta chains.
   // The registry rides along so the run double-checks the observability
   // blind-spot contract: every counter a run with traffic must move is
   // asserted nonzero below (a zero means publishing silently broke).
@@ -133,7 +135,8 @@ void RunSoak(uint64_t seed) {
   fuzz_opts.nodes = kNodes;
   fuzz_opts.groups = kGroupsPerOp;
   fuzz_opts.window_every_us = kWindowUs;
-  fuzz_opts.num_workers = 2;
+  fuzz_opts.num_workers = 2 + static_cast<int>(seed % 3);
+  fuzz_opts.max_batch_tuples = 1024;  // launch waves every few chunks
   fuzz_opts.metrics = &registry;
   ReconfigPipeline fuzz(fuzz_opts);
   engine::CheckpointCoordinatorOptions copts;
@@ -146,6 +149,7 @@ void RunSoak(uint64_t seed) {
   NodeId open_to = -1;         // its target node
   int migrations = 0;
   int kills = 0;
+  int64_t fuzz_processed = 0;  // summed over the schedule's harvests
   for (size_t c = 0; c < chunks.size(); ++c) {
     const uint64_t action = rng.NextU64() % 100;
     const bool kill_action = action >= 35 && action < 45 &&
@@ -236,6 +240,9 @@ void RunSoak(uint64_t seed) {
         ASSERT_TRUE(rec.ok()) << label << ": " << rec.status().ToString();
       }
       ASSERT_TRUE(fuzz.engine->lost_groups().empty()) << label;
+    } else if (action >= 45 && action < 55) {
+      // A period harvest is a quiescence point too.
+      fuzz_processed += fuzz.engine->HarvestPeriod().tuples_processed;
     }
     InjectChunkRouted(&fuzz, stream, chunks[c].first, chunks[c].second);
   }
@@ -249,7 +256,7 @@ void RunSoak(uint64_t seed) {
   testing::ExpectSameOutputs(&fuzz, &oracle, label);
   // And nothing may have been dropped: both pipelines processed the same
   // number of tuple deliveries across all hops.
-  const int64_t fuzz_processed = fuzz.engine->HarvestPeriod().tuples_processed;
+  fuzz_processed += fuzz.engine->HarvestPeriod().tuples_processed;
   const int64_t oracle_processed =
       oracle.engine->HarvestPeriod().tuples_processed;
   EXPECT_EQ(fuzz_processed, oracle_processed) << label;
